@@ -327,11 +327,15 @@ fn export_timing(full_id: &str, mean_nanos: f64) {
         return;
     }
     use std::io::Write;
+    // One `write_all` of the whole line: `writeln!` performs one write per
+    // formatted fragment, and fragments of two concurrent exporters would
+    // interleave inside the file.
+    let line = format!("{full_id}\t{mean_nanos}\n");
     let appended = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(&path)
-        .and_then(|mut file| writeln!(file, "{full_id}\t{mean_nanos}"));
+        .and_then(|mut file| file.write_all(line.as_bytes()));
     if let Err(error) = appended {
         eprintln!("warning: cannot append bench timing to '{path}': {error}");
     }

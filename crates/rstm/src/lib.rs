@@ -753,11 +753,11 @@ impl TmAlgorithm for Rstm {
                 }
             }
         }
-        desc.write_log.record(addr, value, lock_index, 0);
+        desc.write_log.record(addr, value);
         if self.variant.acquisition == Acquisition::Lazy {
             // Track the distinct write-set stripes so commit-time
             // acquisition needs no sort+dedup pass over the redo log.
-            desc.write_log.record_stripe(lock_index, 0);
+            desc.write_log.record_stripe(lock_index);
             self.cm.on_write(&desc.core.shared, desc.write_log.len());
         }
         Ok(())

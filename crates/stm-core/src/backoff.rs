@@ -72,16 +72,24 @@ pub fn wait_random_linear(successive_aborts: u64) -> u64 {
 }
 
 /// Randomized exponential back-off: spin for a random number of iterations
-/// in the half-open range `[0, 2^min(attempt, MAX_EXPONENT) * BACKOFF_UNIT)`.
-/// Returns the number of iterations spun, so callers can feed the
-/// contention telemetry.
-pub fn wait_random_exponential(attempt: u32) -> u64 {
+/// in the half-open range `[0, 2^min(attempt, MAX_EXPONENT) * BACKOFF_UNIT)`,
+/// ending early once `stop` returns `true`. `stop` is polled before each
+/// [`BACKOFF_UNIT`] spins, so a waiter whose transaction was asked to abort
+/// leaves within one unit instead of sleeping out the whole draw (up to
+/// `2^MAX_EXPONENT` units). Returns the number of iterations actually spun,
+/// so callers can feed the contention telemetry.
+pub fn wait_random_exponential_until(attempt: u32, mut stop: impl FnMut() -> bool) -> u64 {
     let exp = attempt.min(MAX_EXPONENT);
     let bound = (1u64 << exp).saturating_mul(BACKOFF_UNIT);
     let mut rng = FastRng::new(thread_seed());
     let iterations = rng.next_below(bound);
-    spin(iterations);
-    iterations
+    let mut spun = 0;
+    while spun < iterations && !stop() {
+        let chunk = (iterations - spun).min(BACKOFF_UNIT);
+        spin(chunk);
+        spun += chunk;
+    }
+    spun
 }
 
 /// A deterministic, cheap pseudo-random generator for use *inside*
@@ -145,8 +153,19 @@ mod tests {
     fn exponential_backoff_caps_exponent() {
         // Must terminate quickly even for absurd attempt counts, and report
         // a spin count inside the capped bound.
-        let spins = wait_random_exponential(1_000_000);
+        let spins = wait_random_exponential_until(1_000_000, || false);
         assert!(spins < (1u64 << MAX_EXPONENT) * BACKOFF_UNIT);
+    }
+
+    #[test]
+    fn exponential_backoff_stops_within_one_unit_of_the_request() {
+        assert_eq!(wait_random_exponential_until(MAX_EXPONENT, || true), 0);
+        let mut polls = 0u64;
+        let spins = wait_random_exponential_until(MAX_EXPONENT, || {
+            polls += 1;
+            polls > 3
+        });
+        assert!(spins <= 3 * BACKOFF_UNIT, "spun {spins}");
     }
 
     #[test]

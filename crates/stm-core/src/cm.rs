@@ -349,8 +349,11 @@ impl ContentionManager for Polka {
         // (> u32::MAX, reachable now that the budget — not the deficit —
         // bounds the waits) from truncating to a near-zero exponent.
         let deficit = (owner_priority - my_priority).min(u64::from(backoff::MAX_EXPONENT));
+        // The sleep ends early once a rival asks *us* to abort: the caller
+        // checks the flag after `resolve` and rolls back, which is what the
+        // rival is waiting for.
         let start = Instant::now();
-        let spins = backoff::wait_random_exponential(deficit as u32);
+        let spins = backoff::wait_random_exponential_until(deficit as u32, || me.abort_requested());
         me.telemetry().record_backoff(spins, start.elapsed());
         Resolution::Wait
     }
@@ -751,6 +754,22 @@ mod tests {
             cm.resolve(reg.shared(a), reg.shared(b)),
             Resolution::AbortOther
         );
+    }
+
+    /// A waiter whose own abort was requested does not sleep: the back-off
+    /// polls the flag before every unit of spins.
+    #[test]
+    fn polka_waiter_asked_to_abort_does_not_back_off() {
+        let (reg, a, b) = two_txs();
+        let cm = Polka::new();
+        cm.on_start(reg.shared(a), false);
+        cm.on_start(reg.shared(b), false);
+        reg.shared(b).set_priority(1_000);
+        assert!(reg.shared(a).request_abort());
+        assert_eq!(cm.resolve(reg.shared(a), reg.shared(b)), Resolution::Wait);
+        let mut counters = crate::telemetry::ContentionCounters::default();
+        reg.shared(a).telemetry().drain_into(&mut counters);
+        assert_eq!(counters.backoff_spins, 0);
     }
 
     /// The wait budget is per attempt: a restart resets it.

@@ -17,6 +17,8 @@
 //! * [`cm`] — the contention-manager library (Timid, Backoff, Greedy,
 //!   Serializer, Polka and the paper's two-phase manager),
 //! * [`logs`] — read-/write-log containers,
+//! * [`owned`] — the owner-indexed write set of the encounter-time-locking
+//!   STMs, whose lock words name the owner's stripe record,
 //! * [`stats`] — per-thread and aggregated execution statistics,
 //! * [`sync`] — the atomics gateway every STM crate imports instead of
 //!   `std::sync::atomic`; under `--cfg stm_model` it swaps in the
@@ -63,6 +65,7 @@ pub mod heap;
 pub mod locktable;
 pub mod logs;
 pub mod naive;
+pub mod owned;
 pub mod pad;
 pub mod stats;
 pub mod sync;

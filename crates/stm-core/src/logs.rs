@@ -5,10 +5,12 @@
 //! so that a single transactional operation never pays a scan proportional
 //! to the log size:
 //!
-//! * [`WriteLog`] answers read-after-write lookups by address in O(1) and
-//!   tracks the set of distinct acquired stripes — together with the
-//!   version observed at acquisition time — in an O(1) [`StripeSet`]
-//!   instead of a linear `Vec::contains` scan.
+//! * [`WriteLog`], the redo log of the STMs that buffer writes without
+//!   holding a lock (TL2, RSTM, the naive STM), answers read-after-write
+//!   lookups by address in O(1) and tracks the distinct write-set stripes
+//!   in an O(1) [`StripeSet`] instead of a linear `Vec::contains` scan.
+//!   The encounter-time-locking STMs use [`crate::owned::OwnedWriteSet`],
+//!   which their lock words index, instead.
 //! * [`ReadLog`] keeps a *validated watermark*: the prefix of the log that
 //!   was confirmed consistent by the last successful snapshot extension.
 //!   Extension checks the fresh suffix first (the entries that can actually
@@ -233,20 +235,13 @@ pub struct WriteEntry {
     pub addr: Addr,
     /// The value to install at commit time.
     pub value: Word,
-    /// Index of the lock-table entry covering `addr`.
-    pub lock_index: usize,
-    /// Version of the location when the stripe was acquired (used by
-    /// algorithms that restore versions on rollback).
-    pub version: u64,
 }
 
 /// A redo log with O(1) read-after-write lookups by address.
 ///
-/// Several written addresses may share a lock-table stripe; the log also
-/// tracks the set of *distinct* stripes acquired — with the version each
-/// stripe carried at acquisition time — so that commit and rollback release
-/// each lock exactly once and validation can recognise self-owned stripes
-/// in O(1).
+/// Several written addresses may share a lock-table stripe; lazy STMs also
+/// record the *distinct* stripes of the write set, so their commit locks
+/// each one exactly once without a sort+dedup pass over the entries.
 #[derive(Debug, Default)]
 pub struct WriteLog {
     entries: Vec<WriteEntry>,
@@ -268,35 +263,24 @@ impl WriteLog {
     /// existing entry's value is updated (no new entry is appended) and
     /// `false` is returned; otherwise a new entry is appended and `true` is
     /// returned.
-    pub fn record(&mut self, addr: Addr, value: Word, lock_index: usize, version: u64) -> bool {
+    pub fn record(&mut self, addr: Addr, value: Word) -> bool {
         if let Some(&pos) = self.by_addr.get(&addr) {
             self.entries[pos].value = value;
             false
         } else {
             self.by_addr.insert(addr, self.entries.len());
-            self.entries.push(WriteEntry {
-                addr,
-                value,
-                lock_index,
-                version,
-            });
+            self.entries.push(WriteEntry { addr, value });
             true
         }
     }
 
-    /// Marks `lock_index` as a stripe acquired by this transaction,
-    /// remembering the version it carried at acquisition time. Returns
-    /// `true` if the stripe was not yet recorded; re-recording keeps the
-    /// original version.
-    ///
-    /// Lazy STMs that never acquire at encounter time (TL2, RSTM's lazy
-    /// variant) record stripes with a sentinel version of `0` purely to
-    /// track the distinct write-set stripes; for them the real restore
-    /// versions live elsewhere (e.g. TL2's `commit_locked`), and
-    /// [`WriteLog::stripe_version`] must not be used for validation.
+    /// Marks `lock_index` as a stripe of the write set. Returns `true` if
+    /// the stripe was not yet recorded.
     #[inline]
-    pub fn record_stripe(&mut self, lock_index: usize, version: u64) -> bool {
-        self.stripes.insert(lock_index, version)
+    pub fn record_stripe(&mut self, lock_index: usize) -> bool {
+        // The set's version field is unused here: a lazy writer holds no
+        // lock, so there is no acquisition-time version to remember.
+        self.stripes.insert(lock_index, 0)
     }
 
     /// Fills `scratch` with the distinct recorded stripe indices in
@@ -307,32 +291,6 @@ impl WriteLog {
         scratch.clear();
         scratch.extend(self.stripes.iter().map(|s| s.lock_index));
         scratch.sort_unstable();
-    }
-
-    /// The distinct lock-table stripes acquired so far, in acquisition
-    /// order.
-    #[inline]
-    pub fn stripes(&self) -> &[StripeRecord] {
-        self.stripes.records()
-    }
-
-    /// Number of distinct stripes recorded so far.
-    #[inline]
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// Returns `true` if this transaction already recorded `lock_index`.
-    #[inline]
-    pub fn owns_stripe(&self, lock_index: usize) -> bool {
-        self.stripes.contains(lock_index)
-    }
-
-    /// The version `lock_index` carried when it was recorded, if this
-    /// transaction recorded it.
-    #[inline]
-    pub fn stripe_version(&self, lock_index: usize) -> Option<u64> {
-        self.stripes.version_of(lock_index)
     }
 
     /// Looks up the latest value written to `addr`, if any.
@@ -515,8 +473,8 @@ mod tests {
     #[test]
     fn write_log_deduplicates_addresses() {
         let mut log = WriteLog::new();
-        assert!(log.record(Addr::new(5), 1, 0, 0));
-        assert!(!log.record(Addr::new(5), 2, 0, 0));
+        assert!(log.record(Addr::new(5), 1));
+        assert!(!log.record(Addr::new(5), 2));
         assert_eq!(log.len(), 1);
         assert_eq!(log.lookup(Addr::new(5)), Some(2));
         assert_eq!(log.lookup(Addr::new(6)), None);
@@ -525,20 +483,9 @@ mod tests {
     #[test]
     fn write_log_tracks_distinct_stripes() {
         let mut log = WriteLog::new();
-        assert!(log.record_stripe(4, 7));
-        assert!(!log.record_stripe(4, 8));
-        assert!(log.record_stripe(9, 3));
-        let stripes: Vec<(usize, u64)> = log
-            .stripes()
-            .iter()
-            .map(|r| (r.lock_index, r.version))
-            .collect();
-        assert_eq!(stripes, vec![(4, 7), (9, 3)]);
-        assert_eq!(log.stripe_count(), 2);
-        assert!(log.owns_stripe(9));
-        assert!(!log.owns_stripe(2));
-        assert_eq!(log.stripe_version(4), Some(7));
-        assert_eq!(log.stripe_version(2), None);
+        assert!(log.record_stripe(9));
+        assert!(!log.record_stripe(9));
+        assert!(log.record_stripe(4));
         let mut order = vec![999];
         log.sorted_stripe_indices(&mut order);
         assert_eq!(order, vec![4, 9]);
@@ -547,13 +494,14 @@ mod tests {
     #[test]
     fn write_log_clear_resets_everything() {
         let mut log = WriteLog::new();
-        log.record(Addr::new(1), 1, 0, 0);
-        log.record_stripe(0, 5);
+        log.record(Addr::new(1), 1);
+        log.record_stripe(0);
         log.clear();
         assert!(log.is_empty());
-        assert!(log.stripes().is_empty());
-        assert_eq!(log.stripe_count(), 0);
-        assert!(!log.owns_stripe(0));
+        let mut order = vec![999];
+        log.sorted_stripe_indices(&mut order);
+        assert!(order.is_empty());
+        assert!(log.record_stripe(0), "cleared stripes are fresh again");
         assert_eq!(log.lookup(Addr::new(1)), None);
     }
 
@@ -645,7 +593,7 @@ mod tests {
     #[derive(Default)]
     struct ModelWriteLog {
         entries: Vec<(Addr, Word)>,
-        stripes: Vec<(usize, u64)>,
+        stripes: Vec<usize>,
     }
 
     impl ModelWriteLog {
@@ -672,14 +620,14 @@ mod tests {
         let mut rng = FastRng::new(0xBEEFCAFE);
         let mut log = WriteLog::new();
         let mut model = ModelWriteLog::default();
+        let mut scratch = Vec::new();
         for step in 0..20_000u64 {
             match rng.next_below(100) {
                 0..=39 => {
                     let addr = Addr::new(1 + rng.next_below(96) as usize);
                     let value = rng.next_below(1 << 30);
-                    let lock_index = addr.index() / 2;
                     assert_eq!(
-                        log.record(addr, value, lock_index, 0),
+                        log.record(addr, value),
                         model.record(addr, value),
                         "record diverged at step {step}"
                     );
@@ -692,28 +640,17 @@ mod tests {
                         "lookup diverged at step {step}"
                     );
                 }
-                60..=79 => {
+                60..=97 => {
                     let lock_index = rng.next_below(48) as usize;
-                    let version = rng.next_below(1 << 20);
-                    let fresh = !model.stripes.iter().any(|&(idx, _)| idx == lock_index);
+                    let fresh = !model.stripes.contains(&lock_index);
                     if fresh {
-                        model.stripes.push((lock_index, version));
+                        model.stripes.push(lock_index);
                     }
                     assert_eq!(
-                        log.record_stripe(lock_index, version),
+                        log.record_stripe(lock_index),
                         fresh,
                         "record_stripe diverged at step {step}"
                     );
-                }
-                80..=97 => {
-                    let lock_index = rng.next_below(48) as usize;
-                    let expected = model
-                        .stripes
-                        .iter()
-                        .find(|&&(idx, _)| idx == lock_index)
-                        .map(|&(_, v)| v);
-                    assert_eq!(log.stripe_version(lock_index), expected);
-                    assert_eq!(log.owns_stripe(lock_index), expected.is_some());
                 }
                 _ => {
                     log.clear();
@@ -722,15 +659,15 @@ mod tests {
                 }
             }
             assert_eq!(log.len(), model.entries.len());
-            let stripes: Vec<(usize, u64)> = log
-                .stripes()
-                .iter()
-                .map(|r| (r.lock_index, r.version))
-                .collect();
+            let entries: Vec<(Addr, Word)> = log.iter().map(|e| (e.addr, e.value)).collect();
             assert_eq!(
-                stripes, model.stripes,
-                "stripe order diverged at step {step}"
+                entries, model.entries,
+                "entry order diverged at step {step}"
             );
+            let mut expected = model.stripes.clone();
+            expected.sort_unstable();
+            log.sorted_stripe_indices(&mut scratch);
+            assert_eq!(scratch, expected, "stripes diverged at step {step}");
         }
     }
 }

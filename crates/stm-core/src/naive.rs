@@ -143,7 +143,7 @@ impl TmAlgorithm for NaiveGlobalLockTm {
 
     fn write(&self, desc: &mut NaiveDescriptor, addr: Addr, value: Word) -> TxResult<()> {
         desc.core.attempt_writes += 1;
-        desc.write_log.record(addr, value, 0, 0);
+        desc.write_log.record(addr, value);
         Ok(())
     }
 

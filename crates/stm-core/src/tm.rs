@@ -258,6 +258,9 @@ impl<'a, A: TmAlgorithm> Tx<'a, A> {
 pub struct ThreadContext<A: TmAlgorithm> {
     alg: Arc<A>,
     slot: ThreadSlot,
+    /// The thread's shared record, held for the context's lifetime and lent
+    /// to every attempt (no reference-count traffic per attempt).
+    shared: Arc<TxShared>,
     desc: A::Descriptor,
     stats: TxStats,
     retry_budget: Option<u64>,
@@ -276,9 +279,11 @@ impl<A: TmAlgorithm> ThreadContext<A> {
             .register()
             .expect("exceeded the maximum number of STM threads");
         let desc = alg.create_descriptor(slot);
+        let shared = Arc::clone(&desc.core().shared);
         ThreadContext {
             alg,
             slot,
+            shared,
             desc,
             stats: TxStats::new(),
             retry_budget: None,
@@ -319,8 +324,7 @@ impl<A: TmAlgorithm> ThreadContext<A> {
     /// shared reference); folding them in here keeps the per-transaction
     /// epilogues free of telemetry loads.
     pub fn sync_telemetry(&mut self) {
-        self.stats
-            .absorb_telemetry(self.desc.core().shared.telemetry());
+        self.stats.absorb_telemetry(self.shared.telemetry());
     }
 
     /// Returns the accumulated statistics (telemetry folded in), resetting
@@ -346,46 +350,46 @@ impl<A: TmAlgorithm> ThreadContext<A> {
     {
         let mut is_restart = false;
         let mut attempts: u64 = 0;
+        let alg = &*self.alg;
+        let shared = &*self.shared;
         loop {
             attempts += 1;
-            let shared = Arc::clone(&self.desc.core().shared);
             shared.clear_abort_request();
             shared.set_status(TxStatus::Active);
-            self.alg.begin(&mut self.desc, is_restart);
+            alg.begin(&mut self.desc, is_restart);
 
-            let outcome = {
-                let mut tx = Tx {
-                    alg: &*self.alg,
-                    desc: &mut self.desc,
-                };
-                body(&mut tx)
-            };
+            let outcome = body(&mut Tx {
+                alg,
+                desc: &mut self.desc,
+            });
 
-            match outcome {
+            let reason = match outcome {
                 Ok(value) => {
                     let read_only = self.desc.is_read_only();
-                    match self.alg.commit(&mut self.desc) {
+                    match alg.commit(&mut self.desc) {
                         Ok(()) => {
-                            self.finish_commit(&shared, read_only, attempts);
+                            finish_commit(
+                                alg,
+                                shared,
+                                &mut self.desc,
+                                &mut self.stats,
+                                read_only,
+                                attempts,
+                            );
                             return Ok(value);
                         }
-                        Err(abort) => {
-                            // The contract promises `rollback` on *every*
-                            // abort path, including a failed commit: commit
-                            // released the algorithm's locks, but descriptor
-                            // state (e.g. a doomed flag) is only reset here.
-                            // `rollback` is idempotent, so this is safe even
-                            // when commit already cleaned everything up.
-                            self.alg.rollback(&mut self.desc);
-                            self.finish_abort(&shared, abort.reason);
-                        }
+                        // The contract promises `rollback` on *every* abort
+                        // path, including a failed commit: commit released
+                        // the algorithm's locks, but descriptor state (e.g.
+                        // a doomed flag) is only reset by the rollback
+                        // below, which is idempotent.
+                        Err(abort) => abort.reason,
                     }
                 }
-                Err(abort) => {
-                    self.alg.rollback(&mut self.desc);
-                    self.finish_abort(&shared, abort.reason);
-                }
-            }
+                Err(abort) => abort.reason,
+            };
+            alg.rollback(&mut self.desc);
+            finish_abort(alg, shared, &mut self.desc, &mut self.stats, reason);
 
             if let Some(budget) = self.retry_budget {
                 if attempts >= budget {
@@ -413,62 +417,70 @@ impl<A: TmAlgorithm> ThreadContext<A> {
     pub fn write_word(&mut self, addr: Addr, value: Word) -> Result<(), StmError> {
         self.atomically(|tx| tx.write(addr, value))
     }
+}
 
-    fn finish_commit(&mut self, shared: &TxShared, read_only: bool, attempts: u64) {
-        let core = self.desc.core_mut();
-        let reads = core.attempt_reads;
-        let writes = core.attempt_writes;
-        // Frees become effective only now that the transaction committed.
-        // Take the log instead of cloning it so the commit epilogue stays
-        // allocation-free; the emptied log (with its capacity) is put back.
-        let mut alloc_log = std::mem::take(&mut core.alloc_log);
-        for &(addr, words) in alloc_log.freed() {
-            self.alg.heap().free(addr, words);
-        }
-        alloc_log.clear();
-        self.desc.core_mut().alloc_log = alloc_log;
-        self.stats.reads += reads;
-        self.stats.writes += writes;
-        self.stats.record_commit(read_only);
-        self.stats.retries.record(attempts);
-        shared.reset_aborts();
-        self.alg.contention_manager().on_commit(shared);
-        shared.set_status(TxStatus::Idle);
+/// Commit epilogue of [`ThreadContext::atomically`]: applies the deferred
+/// frees, folds the attempt into `stats` and notifies the contention
+/// manager. Takes the context's fields separately so the attempt can
+/// borrow the shared record while the descriptor is mutated.
+fn finish_commit<A: TmAlgorithm>(
+    alg: &A,
+    shared: &TxShared,
+    desc: &mut A::Descriptor,
+    stats: &mut TxStats,
+    read_only: bool,
+    attempts: u64,
+) {
+    let core = desc.core_mut();
+    // Frees become effective only now that the transaction committed.
+    for &(addr, words) in core.alloc_log.freed() {
+        alg.heap().free(addr, words);
     }
+    core.alloc_log.clear();
+    stats.reads += core.attempt_reads;
+    stats.writes += core.attempt_writes;
+    stats.record_commit(read_only);
+    stats.retries.record(attempts);
+    shared.reset_aborts();
+    alg.contention_manager().on_commit(shared);
+    shared.set_status(TxStatus::Idle);
+}
 
-    fn finish_abort(&mut self, shared: &TxShared, reason: AbortReason) {
-        let core = self.desc.core_mut();
-        let reads = core.attempt_reads;
-        let writes = core.attempt_writes;
-        // Allocations of the failed attempt are rolled back; same
-        // allocation-free take-and-restore as `finish_commit`.
-        let mut alloc_log = std::mem::take(&mut core.alloc_log);
-        for &(addr, words) in alloc_log.allocated() {
-            self.alg.heap().free(addr, words);
-        }
-        alloc_log.clear();
-        self.desc.core_mut().alloc_log = alloc_log;
-        self.stats.reads += reads;
-        self.stats.writes += writes;
-        self.stats.record_abort(reason);
-        shared.record_abort();
-        // Under the model checker, an abort caused by a lock that a rival
-        // still holds turns the retry loop into a busy-wait: re-running the
-        // attempt before the owner moves hits the same lock and spawns an
-        // unbounded retry schedule. Yielding through the instrumented spin
-        // hint parks this thread until another thread stores — sound,
-        // because a held lock implies a live owner (every commit/rollback
-        // path releases before the thread finishes), so a wake-up store is
-        // always coming. Validation failures are not yielded: their retry
-        // can succeed with no further external store (bounded by the finite
-        // number of rival commits), so parking could deadlock the model.
-        #[cfg(stm_model)]
-        if matches!(reason, AbortReason::WriteConflict | AbortReason::ReadLocked) {
-            crate::sync::spin_loop();
-        }
-        shared.set_status(TxStatus::Aborted);
-        self.alg.contention_manager().on_rollback(shared);
+/// Abort epilogue of [`ThreadContext::atomically`]: returns the attempt's
+/// allocations, folds it into `stats` and notifies the contention manager.
+fn finish_abort<A: TmAlgorithm>(
+    alg: &A,
+    shared: &TxShared,
+    desc: &mut A::Descriptor,
+    stats: &mut TxStats,
+    reason: AbortReason,
+) {
+    let core = desc.core_mut();
+    // Allocations of the failed attempt are rolled back.
+    for &(addr, words) in core.alloc_log.allocated() {
+        alg.heap().free(addr, words);
     }
+    core.alloc_log.clear();
+    stats.reads += core.attempt_reads;
+    stats.writes += core.attempt_writes;
+    stats.record_abort(reason);
+    shared.record_abort();
+    // Under the model checker, an abort caused by a lock that a rival
+    // still holds turns the retry loop into a busy-wait: re-running the
+    // attempt before the owner moves hits the same lock and spawns an
+    // unbounded retry schedule. Yielding through the instrumented spin
+    // hint parks this thread until another thread stores — sound,
+    // because a held lock implies a live owner (every commit/rollback
+    // path releases before the thread finishes), so a wake-up store is
+    // always coming. Validation failures are not yielded: their retry
+    // can succeed with no further external store (bounded by the finite
+    // number of rival commits), so parking could deadlock the model.
+    #[cfg(stm_model)]
+    if matches!(reason, AbortReason::WriteConflict | AbortReason::ReadLocked) {
+        crate::sync::spin_loop();
+    }
+    shared.set_status(TxStatus::Aborted);
+    alg.contention_manager().on_rollback(shared);
 }
 
 #[cfg(test)]
@@ -680,6 +692,24 @@ mod tests {
         );
         assert_eq!(ctx.stats().aborts, 2);
         assert_eq!(ctx.stats().commits, 1);
+    }
+
+    #[test]
+    fn attempts_borrow_the_shared_record_without_cloning_it() {
+        let stm = new_stm();
+        let mut ctx = ThreadContext::register(Arc::clone(&stm));
+        let shared = stm.registry().shared(ctx.slot());
+        let held = Arc::strong_count(shared);
+        let mut attempts = 0;
+        let _ = ctx.atomically(|tx| {
+            attempts += 1;
+            assert_eq!(Arc::strong_count(shared), held);
+            if attempts < 3 {
+                return tx.retry();
+            }
+            Ok(())
+        });
+        assert_eq!(attempts, 3);
     }
 
     #[test]

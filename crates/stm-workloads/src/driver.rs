@@ -33,7 +33,8 @@ pub trait Workload<A: TmAlgorithm>: Send + Sync {
     fn name(&self) -> String;
 
     /// Optional post-run consistency check (run single-threaded). Returning
-    /// `false` fails the benchmark run's sanity assertion.
+    /// `false` fails the run with a panic that names the point (workload,
+    /// STM, contention manager, threads, seed).
     fn check(&self, _ctx: &mut ThreadContext<A>) -> bool {
         true
     }
@@ -391,13 +392,19 @@ where
         threads: per_thread.iter().map(|&(_, _, _, _, pin)| pin).collect(),
     };
 
-    // Post-run consistency check on a fresh context.
+    // Post-run consistency check on a fresh context. The message names the
+    // whole point, so a failing `repro` sweep says which run broke.
+    let point = format!(
+        "workload '{}' on {} (cm {}) with {threads} thread(s), seed {seed}",
+        workload.name(),
+        stm.name(),
+        stm.contention_manager().name()
+    );
     let mut checker = ThreadContext::register(stm);
     let check_passed = workload.check(&mut checker);
     assert!(
         check_passed,
-        "workload '{}' failed its post-run consistency check",
-        workload.name()
+        "{point} failed its post-run consistency check"
     );
 
     RunResult {
@@ -804,6 +811,40 @@ mod tests {
             "60 trivial counter increments cannot take {:?}; the 100 ms \
              start-up tail leaked into the execution-time window",
             result.elapsed
+        );
+    }
+
+    /// Claims the counter holds a value no run reaches.
+    struct WrongCheck(CounterWorkload);
+
+    impl Workload<NaiveGlobalLockTm> for WrongCheck {
+        fn execute(&self, ctx: &mut ThreadContext<NaiveGlobalLockTm>, rng: &mut FastRng, op: u64) {
+            self.0.execute(ctx, rng, op);
+        }
+
+        fn name(&self) -> String {
+            "wrong-check".into()
+        }
+
+        fn check(&self, ctx: &mut ThreadContext<NaiveGlobalLockTm>) -> bool {
+            ctx.read_word(self.0.addr).unwrap() == u64::MAX
+        }
+    }
+
+    /// A failed check fails the run (so `repro` exits non-zero) and the
+    /// panic names the point that failed.
+    #[test]
+    #[should_panic(
+        expected = "workload 'wrong-check' on global-lock (cm timid) with 2 thread(s), seed 9 \
+                    failed its post-run consistency check"
+    )]
+    fn failed_check_panics_naming_the_point() {
+        let (stm, counter) = setup();
+        let workload = Arc::new(WrongCheck(CounterWorkload { addr: counter.addr }));
+        run_workload_spec(
+            stm,
+            workload,
+            &RunSpec::new(2, RunLength::OpsPerThread(10), 9),
         );
     }
 }

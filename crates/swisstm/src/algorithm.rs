@@ -8,7 +8,8 @@ use stm_core::config::StmConfig;
 use stm_core::error::{Abort, TxResult};
 use stm_core::heap::TmHeap;
 use stm_core::locktable::LockTable;
-use stm_core::logs::{ReadEntry, ReadLog, WriteLog};
+use stm_core::logs::{ReadEntry, ReadLog};
+use stm_core::owned::OwnedWriteSet;
 use stm_core::telemetry::{self, ConflictSite, WaitTimer};
 use stm_core::tm::{DescriptorCore, TmAlgorithm, TxDescriptor};
 use stm_core::word::{Addr, Word};
@@ -143,18 +144,23 @@ impl SwissTm {
     /// whose read-lock version at acquisition time equals the version the
     /// read observed — i.e. nothing committed between our read and our
     /// acquisition (the read lock is locked by us during commit, so the raw
-    /// word cannot match then). The acquired-stripe lookup is O(1) via the
-    /// write log's stripe set, so validation is linear in the number of
-    /// checked entries, not O(entries × write-set).
-    fn entries_valid(&self, write_log: &WriteLog, entries: &[ReadEntry]) -> bool {
+    /// word cannot match then). A w-lock held by `slot` names the stripe's
+    /// record in the write set, so the check costs one lock-word load and
+    /// validation stays linear in the number of checked entries.
+    fn entries_valid(
+        &self,
+        slot: ThreadSlot,
+        write_set: &OwnedWriteSet,
+        entries: &[ReadEntry],
+    ) -> bool {
         for entry in entries {
             let stripe = self.lock_table.entry_at(entry.lock_index);
             let current = stripe.read_lock_raw();
             if current == entry.version << 1 {
                 continue;
             }
-            match write_log.stripe_version(entry.lock_index) {
-                Some(version) if version == entry.version => {}
+            match stripe.owned_record(slot) {
+                Some(record) if write_set.version(record) == entry.version => {}
                 _ => return false,
             }
         }
@@ -163,7 +169,7 @@ impl SwissTm {
 
     /// Full read-set validation (used by the commit path).
     fn validate(&self, desc: &SwissDescriptor) -> bool {
-        self.entries_valid(&desc.write_log, desc.read_log.entries())
+        self.entries_valid(desc.core.slot, &desc.write_set, desc.read_log.entries())
     }
 
     /// `extend` (paper lines 54–57): re-validate and, on success, advance
@@ -172,10 +178,11 @@ impl SwissTm {
     /// the opacity-mandated re-confirmation of the validated prefix.
     fn extend(&self, desc: &mut SwissDescriptor) -> bool {
         let ts = self.commit_ts.read();
-        let write_log = &desc.write_log;
+        let slot = desc.core.slot;
+        let write_set = &desc.write_set;
         if !desc
             .read_log
-            .extend_with(|entries| self.entries_valid(write_log, entries))
+            .extend_with(|entries| self.entries_valid(slot, write_set, entries))
         {
             return false;
         }
@@ -185,10 +192,10 @@ impl SwissTm {
 
     /// Releases all acquired write locks (paper `rollback`, lines 46–49,
     /// minus the contention-manager hook which the driver invokes). The
-    /// stripe records themselves are cleared with the write log by the
+    /// stripe records themselves are cleared with the write set by the
     /// caller.
     fn release_write_locks(&self, desc: &mut SwissDescriptor) {
-        for stripe in desc.write_log.stripes() {
+        for stripe in desc.write_set.stripes() {
             self.lock_table.entry_at(stripe.lock_index).release_write();
         }
     }
@@ -196,7 +203,7 @@ impl SwissTm {
     fn doom(&self, desc: &mut SwissDescriptor, abort: Abort) -> Abort {
         self.release_write_locks(desc);
         desc.read_log.clear();
-        desc.write_log.clear();
+        desc.write_set.clear();
         desc.doomed = true;
         abort
     }
@@ -212,8 +219,8 @@ impl Default for SwissTm {
 ///
 /// The stripes whose write lock the transaction holds — together with the
 /// read-lock version observed at acquisition time (restored if commit-time
-/// validation fails) — live in the write log's stripe set, which answers
-/// ownership and version queries in O(1).
+/// validation fails) — are the records of the owner-indexed write set; each
+/// held w-lock stores its record's index.
 #[derive(Debug)]
 pub struct SwissDescriptor {
     core: DescriptorCore,
@@ -221,7 +228,7 @@ pub struct SwissDescriptor {
     /// successful extension.
     valid_ts: u64,
     read_log: ReadLog,
-    write_log: WriteLog,
+    write_set: OwnedWriteSet,
     /// Set once an operation has aborted the attempt; subsequent operations
     /// fail fast until the driver restarts the transaction.
     doomed: bool,
@@ -237,7 +244,7 @@ impl TxDescriptor for SwissDescriptor {
     }
 
     fn is_read_only(&self) -> bool {
-        self.write_log.is_empty()
+        self.write_set.is_empty()
     }
 }
 
@@ -265,7 +272,7 @@ impl TmAlgorithm for SwissTm {
             core: DescriptorCore::new(slot, Arc::clone(self.shared_of(slot))),
             valid_ts: 0,
             read_log: ReadLog::new(),
-            write_log: WriteLog::new(),
+            write_set: OwnedWriteSet::new(),
             doomed: false,
         }
     }
@@ -275,7 +282,7 @@ impl TmAlgorithm for SwissTm {
     fn begin(&self, desc: &mut SwissDescriptor, is_restart: bool) {
         desc.core.reset_attempt();
         desc.read_log.clear();
-        desc.write_log.clear();
+        desc.write_set.clear();
         desc.doomed = false;
         desc.valid_ts = self.commit_ts.read();
         self.cm.on_start(&desc.core.shared, is_restart);
@@ -293,15 +300,15 @@ impl TmAlgorithm for SwissTm {
         let lock_index = self.lock_table.index_of(addr);
         let stripe = self.lock_table.entry_at(lock_index);
 
-        // Read-after-write: if we own the stripe's write lock, our write log
-        // holds the latest value for addresses we wrote; other addresses of
-        // the stripe cannot be modified concurrently, so the heap value is
-        // safe to return directly.
-        if stripe.is_write_locked_by(desc.core.slot) {
-            if let Some(value) = desc.write_log.lookup(addr) {
-                return Ok(value);
-            }
-            return Ok(self.heap.load(addr));
+        // Read-after-write: if we own the stripe's write lock, the record it
+        // names holds the latest value for addresses we wrote; other
+        // addresses of the stripe cannot be modified concurrently, so the
+        // heap value is safe to return directly.
+        if let Some(record) = stripe.owned_record(desc.core.slot) {
+            return Ok(desc
+                .write_set
+                .lookup(record, addr)
+                .unwrap_or_else(|| self.heap.load(addr)));
         }
 
         // Consistent (r-lock, value, r-lock) triple read: retry until the two
@@ -355,30 +362,29 @@ impl TmAlgorithm for SwissTm {
         let lock_index = self.lock_table.index_of(addr);
         let stripe = self.lock_table.entry_at(lock_index);
 
-        // Already own the stripe: just update the redo log.
-        if stripe.is_write_locked_by(desc.core.slot) {
-            desc.write_log.record(addr, value, lock_index, 0);
+        // Already own the stripe: just update its record's entries.
+        if let Some(record) = stripe.owned_record(desc.core.slot) {
+            desc.write_set.write(record, addr, value);
             return Ok(());
         }
 
         // Eager acquisition loop with contention management on write/write
-        // conflicts. The wait timer starts lazily on the first contended
-        // iteration (conflict-free writes never sample a clock) and records
-        // the time spent in the loop on every exit path when it drops.
+        // conflicts; the w-lock we take names our next stripe record. The
+        // owner seen here is never us: only this thread stores our tag, and
+        // it saw none above. The wait timer starts lazily on the first
+        // contended iteration (conflict-free writes never sample a clock)
+        // and records the time spent in the loop on every exit path when it
+        // drops.
+        let record = desc.write_set.next_record();
         let mut wait_timer: Option<WaitTimer> = None;
         loop {
             match stripe.write_lock() {
                 WriteLockState::Unlocked => {
-                    if stripe.try_acquire_write(desc.core.slot) {
+                    if stripe.try_acquire_write_at(desc.core.slot, record) {
                         break;
                     }
                 }
                 WriteLockState::LockedBy(owner_slot) => {
-                    if owner_slot == desc.core.slot {
-                        // We raced with ourselves (should not happen), treat
-                        // as owned.
-                        break;
-                    }
                     if wait_timer.is_none() {
                         wait_timer = Some(WaitTimer::start(&desc.core.shared));
                     }
@@ -413,18 +419,18 @@ impl TmAlgorithm for SwissTm {
             ReadLockState::Unlocked { version } => version,
             // The previous owner unlocks the read lock before releasing the
             // write lock, so observing it locked here is impossible; be
-            // conservative anyway. The write lock we just took is not yet in
-            // the stripe set, so it must be released here or it would leak
-            // past the rollback.
+            // conservative anyway. The write lock we just took has no record
+            // in the write set yet, so it must be released here or it would
+            // leak past the rollback.
             ReadLockState::Locked => {
                 stripe.release_write();
                 return Err(self.doom(desc, Abort::WRITE_CONFLICT));
             }
         };
-        desc.write_log.record_stripe(lock_index, version);
-        desc.write_log.record(addr, value, lock_index, version);
+        desc.write_set.push_stripe(lock_index, version);
+        desc.write_set.write(record, addr, value);
         self.cm
-            .on_write(&desc.core.shared, desc.write_log.stripe_count());
+            .on_write(&desc.core.shared, desc.write_set.stripe_count());
 
         // Preserve opacity: if the stripe moved past our snapshot we must be
         // able to extend, otherwise the transaction is inconsistent.
@@ -447,13 +453,13 @@ impl TmAlgorithm for SwissTm {
         }
         // Read-only transactions commit immediately: their read log is
         // guaranteed consistent by construction.
-        if desc.write_log.is_empty() {
+        if desc.write_set.is_empty() {
             desc.read_log.clear();
             return Ok(());
         }
 
         // Lock the read locks of every stripe we are about to update.
-        for stripe in desc.write_log.stripes() {
+        for stripe in desc.write_set.stripes() {
             self.lock_table.entry_at(stripe.lock_index).lock_read();
         }
 
@@ -465,7 +471,7 @@ impl TmAlgorithm for SwissTm {
 
         if stamp.needs_validation() && !self.validate(desc) {
             // Restore read-lock versions, release write locks and abort.
-            for stripe in desc.write_log.stripes() {
+            for stripe in desc.write_set.stripes() {
                 self.lock_table
                     .entry_at(stripe.lock_index)
                     .restore_read_version(stripe.version);
@@ -474,16 +480,16 @@ impl TmAlgorithm for SwissTm {
         }
 
         // Write back the redo log and publish the new version.
-        for entry in desc.write_log.iter() {
+        for entry in desc.write_set.entries() {
             self.heap.store(entry.addr, entry.value);
         }
-        for stripe in desc.write_log.stripes() {
+        for stripe in desc.write_set.stripes() {
             let entry = self.lock_table.entry_at(stripe.lock_index);
             entry.publish_version(ts);
             entry.release_write();
         }
         desc.read_log.clear();
-        desc.write_log.clear();
+        desc.write_set.clear();
         Ok(())
     }
 
@@ -492,7 +498,7 @@ impl TmAlgorithm for SwissTm {
     fn rollback(&self, desc: &mut SwissDescriptor) {
         self.release_write_locks(desc);
         desc.read_log.clear();
-        desc.write_log.clear();
+        desc.write_set.clear();
         desc.doomed = false;
     }
 }

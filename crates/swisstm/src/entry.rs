@@ -3,10 +3,12 @@
 //! Each stripe of consecutive heap words maps to one [`StripeEntry`]
 //! (paper §3, §3.3):
 //!
-//! * the **write lock** (`w-lock`) is `0` when free and otherwise encodes
-//!   the owning thread slot. It is acquired eagerly with a compare-and-swap
-//!   at a transaction's first write to the stripe, and simply overwritten
-//!   with `0` on release (only the owner releases it).
+//! * the **write lock** (`w-lock`) is `0` when free and otherwise an
+//!   [`owner_word`]: the owning thread slot plus the index of the owner's
+//!   stripe record in its write set (the paper's pointer to the owner's
+//!   write-log entry). It is acquired eagerly with a compare-and-swap at a
+//!   transaction's first write to the stripe, and simply overwritten with
+//!   `0` on release (only the owner releases it).
 //! * the **read lock** (`r-lock`) stores the stripe's version number
 //!   shifted left by one (so its least-significant bit is `0`) when
 //!   unlocked, and the value `1` while the owning writer is committing.
@@ -16,6 +18,7 @@
 use stm_core::sync::{AtomicU64, Ordering};
 
 use stm_core::clock::ThreadSlot;
+use stm_core::owned::{owner_slot, owner_word, record_of};
 
 /// Value of an unlocked write lock.
 const W_UNLOCKED: u64 = 0;
@@ -51,38 +54,50 @@ pub struct StripeEntry {
 }
 
 impl StripeEntry {
-    /// Encodes a thread slot as a write-lock owner tag.
     #[inline]
-    fn owner_tag(slot: ThreadSlot) -> u64 {
-        slot.index() as u64 + 1
+    fn w_lock_word(&self) -> u64 {
+        // sync: Acquire so a transaction that sees an owner tag also sees
+        // that owner's descriptor state (pairs with try_acquire_write_at).
+        self.w_lock.load(Ordering::Acquire)
     }
 
     /// Current state of the write lock.
     #[inline]
     pub fn write_lock(&self) -> WriteLockState {
-        // sync: Acquire so a transaction that sees an owner tag also sees
-        // that owner's descriptor state (pairs with try_acquire_write).
-        match self.w_lock.load(Ordering::Acquire) {
+        match self.w_lock_word() {
             W_UNLOCKED => WriteLockState::Unlocked,
-            tag => WriteLockState::LockedBy(ThreadSlot::new((tag - 1) as usize)),
+            word => WriteLockState::LockedBy(owner_slot(word)),
         }
     }
 
     /// Returns `true` if the write lock is held by `slot`.
     #[inline]
     pub fn is_write_locked_by(&self, slot: ThreadSlot) -> bool {
-        // sync: Acquire, same edge as write_lock().
-        self.w_lock.load(Ordering::Acquire) == Self::owner_tag(slot)
+        self.owned_record(slot).is_some()
     }
 
-    /// Attempts to acquire the write lock for `slot`. Returns `true` on
-    /// success.
+    /// The stripe record index stored by `slot` if `slot` holds the write
+    /// lock.
+    #[inline]
+    pub fn owned_record(&self, slot: ThreadSlot) -> Option<usize> {
+        record_of(self.w_lock_word(), slot)
+    }
+
+    /// Attempts to acquire the write lock for `slot`, naming record 0.
+    /// Returns `true` on success.
     #[inline]
     pub fn try_acquire_write(&self, slot: ThreadSlot) -> bool {
+        self.try_acquire_write_at(slot, 0)
+    }
+
+    /// Attempts to acquire the write lock for `slot`, storing the index of
+    /// the owner's stripe `record`. Returns `true` on success.
+    #[inline]
+    pub fn try_acquire_write_at(&self, slot: ThreadSlot, record: usize) -> bool {
         self.w_lock
             .compare_exchange(
                 W_UNLOCKED,
-                Self::owner_tag(slot),
+                owner_word(slot, record),
                 // sync: AcqRel on success — Acquire orders the new owner
                 // after the previous owner's release, Release publishes the
                 // ownership to conflicting readers/writers; Acquire on
@@ -235,5 +250,25 @@ mod tests {
         assert!(e.try_acquire_write(ThreadSlot::new(5)));
         assert_eq!(e.write_lock(), WriteLockState::LockedBy(ThreadSlot::new(5)));
         assert!(!e.is_write_locked_by(ThreadSlot::new(4)));
+    }
+
+    #[test]
+    fn record_index_round_trips_without_naming_other_owners() {
+        let last = ThreadSlot::new(stm_core::clock::MAX_THREADS - 1);
+        for (slot, record) in [(last, 0), (last, 1 << 40), (ThreadSlot::new(0), 65)] {
+            let e = StripeEntry::default();
+            assert!(e.try_acquire_write_at(slot, record));
+            assert_eq!(e.owned_record(slot), Some(record));
+            assert_eq!(e.write_lock(), WriteLockState::LockedBy(slot));
+            assert!(e.is_write_locked_by(slot));
+            for other in (0..stm_core::clock::MAX_THREADS).map(ThreadSlot::new) {
+                if other != slot {
+                    assert!(!e.is_write_locked_by(other));
+                    assert_eq!(e.owned_record(other), None);
+                }
+            }
+            e.release_write();
+            assert_eq!(e.owned_record(slot), None);
+        }
     }
 }

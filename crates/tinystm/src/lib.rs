@@ -46,13 +46,16 @@ use stm_core::config::StmConfig;
 use stm_core::error::{Abort, TxResult};
 use stm_core::heap::TmHeap;
 use stm_core::locktable::LockTable;
-use stm_core::logs::{ReadEntry, ReadLog, WriteLog};
+use stm_core::logs::{ReadEntry, ReadLog};
+use stm_core::owned::{self, OwnedWriteSet};
 use stm_core::telemetry::{self, ConflictSite, WaitTimer};
 use stm_core::tm::{DescriptorCore, TmAlgorithm, TxDescriptor};
 use stm_core::word::{Addr, Word};
 
-/// A TinySTM versioned lock: `version << 1` when free,
-/// `(owner_slot + 1) << 1 | 1` when owned by a writer.
+/// A TinySTM versioned lock: `version << 1` when free, and
+/// `owner_word << 1 | 1` when owned by a writer, where the
+/// [`owned::owner_word`] names the owner's slot and the index of its stripe
+/// record in its write set.
 #[derive(Debug, Default)]
 pub struct OwnedLock {
     word: AtomicU64,
@@ -74,11 +77,6 @@ pub enum OwnedLockState {
 }
 
 impl OwnedLock {
-    #[inline]
-    fn owner_tag(slot: ThreadSlot) -> u64 {
-        ((slot.index() as u64) + 1) << 1 | 1
-    }
-
     /// Raw sample of the lock word.
     #[inline]
     pub fn sample(&self) -> u64 {
@@ -92,10 +90,21 @@ impl OwnedLock {
     pub fn decode(raw: u64) -> OwnedLockState {
         if raw & 1 == 1 {
             OwnedLockState::Owned {
-                owner: ThreadSlot::new(((raw >> 1) - 1) as usize),
+                owner: owned::owner_slot(raw >> 1),
             }
         } else {
             OwnedLockState::Free { version: raw >> 1 }
+        }
+    }
+
+    /// The stripe record index stored by `slot` if the raw sample shows the
+    /// lock owned by `slot`.
+    #[inline]
+    pub fn owned_record(raw: u64, slot: ThreadSlot) -> Option<usize> {
+        if raw & 1 == 1 {
+            owned::record_of(raw >> 1, slot)
+        } else {
+            None
         }
     }
 
@@ -108,17 +117,24 @@ impl OwnedLock {
     /// Returns `true` if the lock is currently owned by `slot`.
     #[inline]
     pub fn is_owned_by(&self, slot: ThreadSlot) -> bool {
-        self.sample() == Self::owner_tag(slot)
+        Self::owned_record(self.sample(), slot).is_some()
     }
 
-    /// Tries to acquire the lock for `slot`, expecting free state with
-    /// `version`.
+    /// Tries to acquire the lock for `slot`, naming record 0, expecting
+    /// free state with `version`.
     #[inline]
     pub fn try_acquire(&self, slot: ThreadSlot, version: u64) -> bool {
+        self.try_acquire_at(slot, version, 0)
+    }
+
+    /// Tries to acquire the lock for `slot`, storing the index of the
+    /// owner's stripe `record`, expecting free state with `version`.
+    #[inline]
+    pub fn try_acquire_at(&self, slot: ThreadSlot, version: u64, record: usize) -> bool {
         self.word
             .compare_exchange(
                 version << 1,
-                Self::owner_tag(slot),
+                owned::owner_word(slot, record) << 1 | 1,
                 // sync: AcqRel on success — Acquire orders the new owner
                 // after the previous release, Release publishes ownership to
                 // conflicting transactions; Acquire on failure because the
@@ -149,15 +165,15 @@ impl OwnedLock {
 /// Transaction descriptor of [`TinyStm`].
 ///
 /// The stripes owned by the transaction — with the version to restore on
-/// abort — live in the write log's stripe set, which answers ownership and
-/// version queries in O(1).
+/// abort — are the records of the owner-indexed write set; each owned lock
+/// word stores its record's index.
 #[derive(Debug)]
 pub struct TinyDescriptor {
     core: DescriptorCore,
     /// Snapshot timestamp (start or last successful extension).
     valid_ts: u64,
     read_log: ReadLog,
-    write_log: WriteLog,
+    write_set: OwnedWriteSet,
     doomed: bool,
 }
 
@@ -171,7 +187,7 @@ impl TxDescriptor for TinyDescriptor {
     }
 
     fn is_read_only(&self) -> bool {
-        self.write_log.is_empty()
+        self.write_set.is_empty()
     }
 }
 
@@ -277,29 +293,24 @@ impl TinyStm {
         self.registry.shared(slot)
     }
 
-    /// Validates a slice of read-log entries. The self-owned stripe check
-    /// is O(1) via the write log's stripe set.
-    fn entries_valid(&self, slot: ThreadSlot, write_log: &WriteLog, entries: &[ReadEntry]) -> bool {
+    /// Validates a slice of read-log entries. A stripe we own hides its
+    /// version behind the lock, but the lock word names our record, whose
+    /// version at acquisition must equal the one the read observed —
+    /// otherwise another transaction committed in between.
+    fn entries_valid(
+        &self,
+        slot: ThreadSlot,
+        write_set: &OwnedWriteSet,
+        entries: &[ReadEntry],
+    ) -> bool {
         for entry in entries {
-            let lock = self.lock_table.entry_at(entry.lock_index);
-            match lock.state() {
-                OwnedLockState::Free { version } => {
-                    if version != entry.version {
-                        return false;
-                    }
-                }
-                OwnedLockState::Owned { owner } => {
-                    if owner != slot {
-                        return false;
-                    }
-                    // We own the stripe, so its version word is hidden behind
-                    // the lock — but the version it carried when we acquired
-                    // it must equal the one this read observed, otherwise
-                    // another transaction committed in between.
-                    if write_log.stripe_version(entry.lock_index) != Some(entry.version) {
-                        return false;
-                    }
-                }
+            let raw = self.lock_table.entry_at(entry.lock_index).sample();
+            if raw == entry.version << 1 {
+                continue;
+            }
+            match OwnedLock::owned_record(raw, slot) {
+                Some(record) if write_set.version(record) == entry.version => {}
+                _ => return false,
             }
         }
         true
@@ -307,7 +318,7 @@ impl TinyStm {
 
     /// Full read-set validation (used by the commit path).
     fn validate(&self, desc: &TinyDescriptor) -> bool {
-        self.entries_valid(desc.core.slot, &desc.write_log, desc.read_log.entries())
+        self.entries_valid(desc.core.slot, &desc.write_set, desc.read_log.entries())
     }
 
     /// Snapshot extension (the LSA scheme). [`ReadLog::extend_with`] orders
@@ -316,10 +327,10 @@ impl TinyStm {
     fn extend(&self, desc: &mut TinyDescriptor) -> bool {
         let ts = self.clock.read();
         let slot = desc.core.slot;
-        let write_log = &desc.write_log;
+        let write_set = &desc.write_set;
         if !desc
             .read_log
-            .extend_with(|entries| self.entries_valid(slot, write_log, entries))
+            .extend_with(|entries| self.entries_valid(slot, write_set, entries))
         {
             return false;
         }
@@ -328,9 +339,9 @@ impl TinyStm {
     }
 
     /// Restores every owned stripe's pre-acquisition version. The stripe
-    /// records themselves are cleared with the write log by the caller.
+    /// records themselves are cleared with the write set by the caller.
     fn release_locks(&self, desc: &mut TinyDescriptor) {
-        for stripe in desc.write_log.stripes() {
+        for stripe in desc.write_set.stripes() {
             self.lock_table
                 .entry_at(stripe.lock_index)
                 .restore(stripe.version);
@@ -340,7 +351,7 @@ impl TinyStm {
     fn doom(&self, desc: &mut TinyDescriptor, abort: Abort) -> Abort {
         self.release_locks(desc);
         desc.read_log.clear();
-        desc.write_log.clear();
+        desc.write_set.clear();
         desc.doomed = true;
         abort
     }
@@ -376,7 +387,7 @@ impl TmAlgorithm for TinyStm {
             core: DescriptorCore::new(slot, Arc::clone(self.shared_of(slot))),
             valid_ts: 0,
             read_log: ReadLog::new(),
-            write_log: WriteLog::new(),
+            write_set: OwnedWriteSet::new(),
             doomed: false,
         }
     }
@@ -384,7 +395,7 @@ impl TmAlgorithm for TinyStm {
     fn begin(&self, desc: &mut TinyDescriptor, is_restart: bool) {
         desc.core.reset_attempt();
         desc.read_log.clear();
-        desc.write_log.clear();
+        desc.write_set.clear();
         desc.doomed = false;
         desc.valid_ts = self.clock.read();
         self.cm.on_start(&desc.core.shared, is_restart);
@@ -402,18 +413,19 @@ impl TmAlgorithm for TinyStm {
         let lock_index = self.lock_table.index_of(addr);
         let lock = self.lock_table.entry_at(lock_index);
 
-        // Read from our own redo log if we own the stripe.
-        if lock.is_owned_by(desc.core.slot) {
-            if let Some(value) = desc.write_log.lookup(addr) {
-                return Ok(value);
-            }
-            return Ok(self.heap.load(addr));
+        // Read from our own redo log if we own the stripe: the lock word
+        // names the record holding our writes to it.
+        let pre = lock.sample();
+        if let Some(record) = OwnedLock::owned_record(pre, desc.core.slot) {
+            return Ok(desc
+                .write_set
+                .lookup(record, addr)
+                .unwrap_or_else(|| self.heap.load(addr)));
         }
 
         // Eager read/write conflict detection: a stripe owned by another
         // writer aborts the reader immediately (TinySTM encounter-time
         // locking behaviour the paper contrasts with SwissTM).
-        let pre = lock.sample();
         match OwnedLock::decode(pre) {
             OwnedLockState::Owned { .. } => {
                 return Err(self.doom(desc, Abort::READ_LOCKED));
@@ -458,29 +470,27 @@ impl TmAlgorithm for TinyStm {
         let lock_index = self.lock_table.index_of(addr);
         let lock = self.lock_table.entry_at(lock_index);
 
-        if lock.is_owned_by(desc.core.slot) {
-            desc.write_log.record(addr, value, lock_index, 0);
+        if let Some(record) = OwnedLock::owned_record(lock.sample(), desc.core.slot) {
+            desc.write_set.write(record, addr, value);
             return Ok(());
         }
 
-        // Encounter-time acquisition with contention management. The wait
-        // timer starts lazily on the first contended iteration and records
-        // the loop's wall-clock time on every exit path.
+        // Encounter-time acquisition with contention management; the lock
+        // word we install names our next stripe record. The owner seen here
+        // is never us: only this thread stores our tag, and it saw none
+        // above. The wait timer starts lazily on the first contended
+        // iteration and records the loop's wall-clock time on every exit
+        // path.
+        let record = desc.write_set.next_record();
         let mut wait_timer: Option<WaitTimer> = None;
         let version = loop {
             match lock.state() {
                 OwnedLockState::Free { version } => {
-                    if lock.try_acquire(desc.core.slot, version) {
+                    if lock.try_acquire_at(desc.core.slot, version, record) {
                         break version;
                     }
                 }
                 OwnedLockState::Owned { owner } => {
-                    if owner == desc.core.slot {
-                        // Raced with our own earlier acquisition of the same
-                        // stripe: just buffer the value.
-                        desc.write_log.record(addr, value, lock_index, 0);
-                        return Ok(());
-                    }
                     if wait_timer.is_none() {
                         wait_timer = Some(WaitTimer::start(&desc.core.shared));
                     }
@@ -503,10 +513,10 @@ impl TmAlgorithm for TinyStm {
         };
         drop(wait_timer);
 
-        desc.write_log.record_stripe(lock_index, version);
-        desc.write_log.record(addr, value, lock_index, version);
+        desc.write_set.push_stripe(lock_index, version);
+        desc.write_set.write(record, addr, value);
         self.cm
-            .on_write(&desc.core.shared, desc.write_log.stripe_count());
+            .on_write(&desc.core.shared, desc.write_set.stripe_count());
 
         if version > desc.valid_ts {
             self.clock.observe(version);
@@ -524,7 +534,7 @@ impl TmAlgorithm for TinyStm {
         if desc.core.shared.abort_requested() {
             return Err(self.doom(desc, Abort::REMOTE));
         }
-        if desc.write_log.is_empty() {
+        if desc.write_set.is_empty() {
             desc.read_log.clear();
             return Ok(());
         }
@@ -538,21 +548,21 @@ impl TmAlgorithm for TinyStm {
             return Err(self.doom(desc, Abort::READ_VALIDATION));
         }
 
-        for entry in desc.write_log.iter() {
+        for entry in desc.write_set.entries() {
             self.heap.store(entry.addr, entry.value);
         }
-        for stripe in desc.write_log.stripes() {
+        for stripe in desc.write_set.stripes() {
             self.lock_table.entry_at(stripe.lock_index).publish(ts);
         }
         desc.read_log.clear();
-        desc.write_log.clear();
+        desc.write_set.clear();
         Ok(())
     }
 
     fn rollback(&self, desc: &mut TinyDescriptor) {
         self.release_locks(desc);
         desc.read_log.clear();
-        desc.write_log.clear();
+        desc.write_set.clear();
         desc.doomed = false;
     }
 }
@@ -636,6 +646,27 @@ mod tests {
         lock.publish(4);
         assert_eq!(lock.state(), OwnedLockState::Free { version: 4 });
         assert!(!lock.try_acquire(ThreadSlot::new(2), 3));
+    }
+
+    #[test]
+    fn record_index_round_trips_without_naming_other_owners() {
+        let last = ThreadSlot::new(stm_core::clock::MAX_THREADS - 1);
+        for (slot, record) in [(last, 0), (last, 1 << 40), (ThreadSlot::new(0), 65)] {
+            let lock = OwnedLock::default();
+            lock.publish(7);
+            assert!(lock.try_acquire_at(slot, 7, record));
+            assert_eq!(OwnedLock::owned_record(lock.sample(), slot), Some(record));
+            assert_eq!(lock.state(), OwnedLockState::Owned { owner: slot });
+            for other in (0..stm_core::clock::MAX_THREADS).map(ThreadSlot::new) {
+                if other != slot {
+                    assert!(!lock.is_owned_by(other));
+                    assert_eq!(OwnedLock::owned_record(lock.sample(), other), None);
+                }
+            }
+            lock.restore(7);
+            assert_eq!(lock.state(), OwnedLockState::Free { version: 7 });
+            assert_eq!(OwnedLock::owned_record(lock.sample(), slot), None);
+        }
     }
 
     #[test]

@@ -481,8 +481,8 @@ impl TmAlgorithm for Tl2 {
         // commit path the distinct write-set stripes without a sort+dedup
         // pass over the whole redo log.
         let lock_index = self.lock_table.index_of(addr);
-        desc.write_log.record_stripe(lock_index, 0);
-        desc.write_log.record(addr, value, lock_index, 0);
+        desc.write_log.record_stripe(lock_index);
+        desc.write_log.record(addr, value);
         self.cm.on_write(&desc.core.shared, desc.write_log.len());
         Ok(())
     }
